@@ -56,6 +56,12 @@ type Engine struct {
 	// ownerK workers (see parallel.go).
 	owner  []int32
 	ownerK int
+	// par is the parallel compute path's persistent state, built on the
+	// first parallel phase and dropped when the worker count or the
+	// ownership map changes; seeds is the reused buffer a parallel phase's
+	// seed events pass through (see parallel.go).
+	par   *parallelRun
+	seeds []event.Event
 
 	// trace observes every event the sequential path processes, in order
 	// (golden-trace tests). Non-nil trace forces sequential execution.
@@ -429,7 +435,13 @@ func (e *Engine) ChargeSpill(n int) {
 // periodically re-partition the graphs... without affecting the JetStream
 // workflow." It must be called between phases (no pending cross-slice
 // events); it returns the new edge cut, or -1 when slicing is off.
+//
+// The parallel compute path's ownership map follows the same cadence: it
+// and the persistent parallel state are dropped here, sliced or not, and
+// rebuilt against the current graph version by the next parallel phase.
 func (e *Engine) Repartition() int {
+	e.owner = nil
+	e.par = nil
 	if e.part == nil {
 		return -1
 	}
@@ -440,7 +452,6 @@ func (e *Engine) Repartition() int {
 	}
 	e.part = graph.PartitionGraph(e.csr, e.part.K)
 	e.active = 0
-	e.owner = nil // parallel ownership follows the same evolution cadence
 	return e.part.Cut
 }
 

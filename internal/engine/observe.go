@@ -6,7 +6,6 @@ import (
 	"jetstream/internal/mem"
 	"jetstream/internal/noc"
 	"jetstream/internal/obs"
-	"jetstream/internal/stats"
 )
 
 // Obs bundles the engine's observability sinks: a metrics registry for the
@@ -49,6 +48,7 @@ type workerObs struct {
 	forwarded *obs.Counter
 	rounds    *obs.Counter
 	idleSpins *obs.Counter
+	parks     *obs.Counter
 	shardHigh *obs.Max
 }
 
@@ -90,6 +90,7 @@ func (o *Obs) worker(i int) *workerObs {
 			forwarded: o.Reg.Counter("jetstream_worker_events_forwarded_total", l),
 			rounds:    o.Reg.Counter("jetstream_worker_rounds_total", l),
 			idleSpins: o.Reg.Counter("jetstream_worker_idle_spins_total", l),
+			parks:     o.Reg.Counter("jetstream_worker_parks_total", l),
 			shardHigh: o.Reg.Max("jetstream_worker_shard_highwater", l),
 		})
 	}
@@ -120,12 +121,17 @@ func (o *Obs) pairMatrix(k int) *noc.Matrix {
 
 // WorkerStats is one worker's published totals, for structured snapshots.
 type WorkerStats struct {
-	Processed      uint64
-	Coalesced      uint64
-	Generated      uint64
-	Forwarded      uint64
-	Rounds         uint64
-	IdleSpins      uint64
+	Processed uint64
+	Coalesced uint64
+	Generated uint64
+	Forwarded uint64
+	Rounds    uint64
+	// IdleSpins counts loop iterations that found no work; Parks counts the
+	// subset that ended with the worker blocking on its wake channel.
+	IdleSpins uint64
+	Parks     uint64
+	// ShardHighWater is the peak live-event count of the worker's shard over
+	// the engine's lifetime (shards persist across phases).
 	ShardHighWater uint64
 }
 
@@ -140,6 +146,7 @@ func (o *Obs) WorkerSnapshots() []WorkerStats {
 			Forwarded:      w.forwarded.Load(),
 			Rounds:         w.rounds.Load(),
 			IdleSpins:      w.idleSpins.Load(),
+			Parks:          w.parks.Load(),
 			ShardHighWater: w.shardHigh.Load(),
 		}
 	}
@@ -216,25 +223,27 @@ func (e *Engine) FlushObs() {
 // publishWorker attributes one parallel worker's phase counters to its
 // series, advancing the published baseline so FlushObs does not re-attribute
 // them to worker 0.
-func (e *Engine) publishWorker(id int, st *stats.Counters, forwarded uint64, sent []uint64, shardHigh int, idle uint64) {
+func (e *Engine) publishWorker(id int, pw *peWorker) {
 	o := e.ob
+	st := &pw.st
 	e.obPub.Add(st)
 	w := o.worker(id)
 	w.processed.Add(st.EventsProcessed)
 	w.coalesced.Add(st.EventsCoalesced)
 	w.generated.Add(st.EventsGenerated)
-	w.forwarded.Add(forwarded)
+	w.forwarded.Add(pw.forwarded)
 	w.rounds.Add(st.Rounds)
-	w.idleSpins.Add(idle)
-	w.shardHigh.Observe(uint64(shardHigh))
-	if len(sent) > 0 {
-		m := o.pairMatrix(len(sent))
-		for d, n := range sent {
+	w.idleSpins.Add(pw.idleSpins)
+	w.parks.Add(pw.parks)
+	w.shardHigh.Observe(uint64(pw.shard.HighWater()))
+	if len(pw.sent) > 0 {
+		m := o.pairMatrix(len(pw.sent))
+		for d, n := range pw.sent {
 			if n > 0 {
 				m.Add(id, d, n)
 			}
 		}
 	}
 	o.Tr.Trace(obs.TraceEvent{Kind: obs.KindWorkerDrain, Seq: o.nextSeq(), Worker: id,
-		A: st.EventsProcessed, B: forwarded})
+		A: st.EventsProcessed, B: pw.forwarded})
 }

@@ -47,7 +47,29 @@ import (
 // so the capacity only tunes batching, never correctness.
 const chanCap = 64
 
-// parallelRun is the shared context of one parallel compute phase.
+// Reused event buffers are kept only up to a size. Drained mail buffers
+// return to their sender, at most freeCap per pair and each of at most
+// freeMaxEvents capacity: enough for the few small mail batches of a
+// streaming phase, while the large buffers of a from-scratch convergence go
+// back to the collector instead of staying pinned for the Engine's lifetime
+// (at p=8 there are 56 pairs). The seed buffer is likewise dropped after a
+// phase whose seeds outgrew seedMaxEvents.
+const (
+	freeCap       = 2
+	freeMaxEvents = 1024
+	seedMaxEvents = 4096
+)
+
+// spinLimit is how many consecutive work-less loop iterations a worker
+// yields the processor for before it parks on its wake channel.
+const spinLimit = 64
+
+// parallelRun is the parallel compute path's state. It lives as long as the
+// Engine: it is built on the first parallel phase (buildParallel) and dropped
+// only when the worker count or the ownership map changes (Repartition), so
+// a phase costs O(work), not O(V). Everything in it is empty at quiescence —
+// shards, mail channels and staging buffers — so reuse needs no clearing;
+// only the per-phase tallies are reset (begin).
 type parallelRun struct {
 	alg      algo.Algorithm
 	acc      bool
@@ -58,6 +80,11 @@ type parallelRun struct {
 	sq       *queue.Sharded
 	trackDep bool
 
+	workers []*peWorker
+	wakes   []chan struct{} // wakes[i] is worker i's 1-buffered park token
+	seedCo  []uint64        // per-shard seed coalesces of the current phase
+	wg      sync.WaitGroup
+
 	// outstanding is the quiescence barrier: live event records not yet
 	// retired. Workers exit when they observe zero. Every worker hammers this
 	// counter once per row batch, so it gets a cache line to itself — without
@@ -67,19 +94,16 @@ type parallelRun struct {
 	_           pad.Line
 	outstanding atomic.Int64
 	_           pad.Line
-
-	// mail[i][j] carries event batches from worker i to worker j (i != j).
-	mail [][]chan []event.Event
 }
 
 // peWorker is one simulated processing engine.
 //
 // The stats block and the per-batch tallies below the first pad line are
 // written by this worker on every processed event. Workers are allocated
-// back-to-back at phase start, so without the cache-line fences one worker's
-// counter increments would sit on the same line as a neighbor's and the
-// per-event stores would ping-pong ownership between cores — the classic
-// false-sharing tax on exactly the path BenchmarkParallelism measures.
+// back-to-back, so without the cache-line fences one worker's counter
+// increments would sit on the same line as a neighbor's and the per-event
+// stores would ping-pong ownership between cores — the classic false-sharing
+// tax on exactly the path BenchmarkParallelism measures.
 type peWorker struct {
 	id      int
 	run     *parallelRun
@@ -87,9 +111,22 @@ type peWorker struct {
 	staging [][]event.Event      // cross-partition events not yet sent, per destination
 	inbox   []chan []event.Event // mail[*][id], nil at index id
 	outbox  []chan []event.Event // mail[id][*], nil at index id
+	// Drained mail buffers travel back to their sender so staging reuses
+	// them: free[d] yields buffers this worker sent to d, ret[s] takes
+	// buffers received from s. Both nil at index id.
+	free []chan []event.Event
+	ret  []chan []event.Event
+	wake chan struct{} // park token, see loop
 
 	_  pad.Line       // fence: per-event single-writer region below
 	st stats.Counters // merged into the engine's sink at phase end
+
+	// The vertex propagate is walking, read by propagateEdge.
+	edge  func(graph.VertexID, graph.Weight)
+	pu    graph.VertexID
+	px    float64
+	pdeg  int
+	pwsum float64
 
 	// Per-batch token bookkeeping (see quiescence comment above).
 	newLive int64 // records that became live while processing the current batch
@@ -102,6 +139,7 @@ type peWorker struct {
 	sent      []uint64 // per-destination cross-partition events staged
 	forwarded uint64   // total cross-partition events staged
 	idleSpins uint64   // loop iterations that found no work
+	parks     uint64   // times the worker blocked on its wake channel
 
 	_ pad.Line // fence: nothing after the hot region shares its last line
 }
@@ -155,6 +193,84 @@ func (e *Engine) ownership(p int) []int32 {
 	return e.owner
 }
 
+// buildParallel (re)creates the persistent parallel state for p workers:
+// shards carved from the sequential queue's slots, the mail fabric with its
+// buffer-return channels, the wake channels and the workers.
+func (e *Engine) buildParallel(p int) {
+	r := &parallelRun{
+		alg:     e.alg,
+		acc:     e.alg.Class() == algo.Accumulative,
+		eps:     e.alg.Epsilon(),
+		sq:      e.q.Sharded(p, e.ownership(p)),
+		workers: make([]*peWorker, p),
+		wakes:   make([]chan struct{}, p),
+		seedCo:  make([]uint64, p),
+	}
+	mail := make([][]chan []event.Event, p)
+	free := make([][]chan []event.Event, p) // free[i][j]: buffers i sent to j, back to i
+	for i := range mail {
+		mail[i] = make([]chan []event.Event, p)
+		free[i] = make([]chan []event.Event, p)
+		for j := range mail[i] {
+			if i != j {
+				mail[i][j] = make(chan []event.Event, chanCap)
+				free[i][j] = make(chan []event.Event, freeCap)
+			}
+		}
+		r.wakes[i] = make(chan struct{}, 1)
+	}
+	for i := range r.workers {
+		w := &peWorker{
+			id:      i,
+			run:     r,
+			shard:   r.sq.Shard(i),
+			staging: make([][]event.Event, p),
+			inbox:   make([]chan []event.Event, p),
+			outbox:  mail[i],
+			free:    free[i],
+			ret:     make([]chan []event.Event, p),
+			wake:    r.wakes[i],
+			sent:    make([]uint64, p),
+		}
+		w.edge = w.propagateEdge
+		for j := 0; j < p; j++ {
+			if j != i {
+				w.inbox[j] = mail[j][i]
+				w.ret[j] = free[j][i]
+			}
+		}
+		r.workers[i] = w
+	}
+	e.par = r
+}
+
+// begin readies the persistent state for one phase: it picks up what may
+// have changed since the last one (graph version, state arrays, tracer,
+// coalescing mode) and zeroes the per-phase tallies.
+func (r *parallelRun) begin(e *Engine) {
+	r.view, r.state, r.dep = e.view, e.state, e.dep
+	r.trackDep = e.dep != nil
+	r.sq.SetCoalescing(e.q.CoalescingEnabled())
+	clear(r.seedCo)
+	var tr obs.Tracer
+	if e.ob != nil {
+		tr = e.ob.Tr
+	}
+	for _, w := range r.workers {
+		w.st = stats.Counters{}
+		w.newLive = 0
+		w.tr, w.trSeq = tr, 0
+		clear(w.sent)
+		w.forwarded, w.idleSpins, w.parks = 0, 0, 0
+	}
+}
+
+// runComputeParallel is one parallel compute phase on the persistent state.
+// Seeds move through a reused buffer, so in steady state the phase's only
+// allocations, and its only cost that does not scale with its work, are the
+// p goroutine spawns.
+//
+//jetlint:hotpath
 func (e *Engine) runComputeParallel(p int) {
 	e.st.Phases++
 	var phaseSeq, p0 uint64
@@ -163,134 +279,146 @@ func (e *Engine) runComputeParallel(p int) {
 		p0 = e.st.EventsProcessed
 		e.ob.Tr.Trace(obs.TraceEvent{Kind: obs.KindPhaseStart, Seq: phaseSeq, Worker: -1, A: e.st.Phases})
 	}
-	run := &parallelRun{
-		alg:      e.alg,
-		acc:      e.alg.Class() == algo.Accumulative,
-		eps:      e.alg.Epsilon(),
-		view:     e.view,
-		state:    e.state,
-		dep:      e.dep,
-		trackDep: e.dep != nil,
-	}
-	owner := e.ownership(p)
-	run.sq = queue.NewSharded(p, owner, e.cfg.Queue, queue.ReduceCoalesce(e.alg.Reduce), e.q.CoalescingEnabled())
 
-	// Move the phase's seed events (already counted as generated when they
-	// were emitted) from the sequential queue into the shards. Workers have
-	// not started, so token ordering is not yet a concern. Seed coalesces are
-	// attributed to the destination shard's owner — that is where the merge
-	// happens in the hardware.
-	live := int64(0)
-	var seedCo []uint64
-	if e.ob != nil {
-		seedCo = make([]uint64, p)
-	}
-	for _, ev := range e.q.TakeAll() {
-		d := run.sq.Owner(ev.Target)
-		if run.sq.Shard(d).Insert(ev) {
-			e.st.EventsCoalesced++
-			if seedCo != nil {
-				seedCo[d]++
-			}
-		} else {
-			live++
-		}
-	}
-	if e.ob != nil {
-		for i, n := range seedCo {
-			if n > 0 {
-				e.ob.worker(i).coalesced.Add(n)
-				e.obPub.EventsCoalesced += n
-			}
-		}
-	}
-	run.outstanding.Store(live)
-	if live == 0 {
+	// Take the phase's seed events (already counted as generated when they
+	// were emitted) out of the sequential queue. This must finish before the
+	// first shard insert: the shards reuse the queue's slots.
+	e.seeds = e.q.TakeAll(e.seeds[:0])
+	if len(e.seeds) == 0 {
 		if e.ob != nil {
 			e.ob.Tr.Trace(obs.TraceEvent{Kind: obs.KindPhaseEnd, Seq: phaseSeq, Worker: -1,
 				A: e.st.Phases, B: e.st.EventsProcessed - p0})
 		}
 		return
 	}
+	if e.par == nil || len(e.par.workers) != p {
+		e.buildParallel(p)
+	}
+	r := e.par
+	r.begin(e)
 
-	run.mail = make([][]chan []event.Event, p)
-	for i := 0; i < p; i++ {
-		run.mail[i] = make([]chan []event.Event, p)
-		for j := 0; j < p; j++ {
-			if i != j {
-				run.mail[i][j] = make(chan []event.Event, chanCap)
+	// Move the seeds into the shards. Workers have not started, so token
+	// ordering is not yet a concern. Seed coalesces are attributed to the
+	// destination shard's owner — that is where the merge happens in the
+	// hardware.
+	live := int64(0)
+	for _, ev := range e.seeds {
+		d := r.sq.Owner(ev.Target)
+		if r.sq.Shard(d).Insert(ev) {
+			e.st.EventsCoalesced++
+			r.seedCo[d]++
+		} else {
+			live++
+		}
+	}
+	if e.ob != nil {
+		for i, n := range r.seedCo {
+			if n > 0 {
+				e.ob.worker(i).coalesced.Add(n)
+				e.obPub.EventsCoalesced += n
 			}
 		}
 	}
-	workers := make([]*peWorker, p)
-	for i := 0; i < p; i++ {
-		w := &peWorker{
-			id:      i,
-			run:     run,
-			shard:   run.sq.Shard(i),
-			staging: make([][]event.Event, p),
-			inbox:   make([]chan []event.Event, p),
-			outbox:  run.mail[i],
-			sent:    make([]uint64, p),
-		}
-		if e.ob != nil {
-			w.tr = e.ob.Tr
-		}
-		for j := 0; j < p; j++ {
-			if j != i {
-				w.inbox[j] = run.mail[j][i]
-			}
-		}
-		workers[i] = w
+	r.outstanding.Store(live)
+	if cap(e.seeds) > seedMaxEvents {
+		e.seeds = nil
 	}
 
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for _, w := range workers {
-		go func(w *peWorker) {
-			defer wg.Done()
-			w.loop()
-		}(w)
+	r.wg.Add(p)
+	for _, w := range r.workers {
+		go w.work()
 	}
-	wg.Wait()
+	r.wg.Wait()
 
 	// Merge the per-worker counters into the engine's sink (the per-worker
 	// accumulation that keeps internal/stats correct without contended
 	// atomics on the hot path), then publish each worker's share into its
 	// labeled series and the NoC transfer matrix.
-	for _, w := range workers {
+	for _, w := range r.workers {
 		e.st.Add(&w.st)
 	}
 	if e.ob != nil {
-		for i, w := range workers {
-			e.publishWorker(i, &w.st, w.forwarded, w.sent, w.shard.HighWater(), w.idleSpins)
+		for i, w := range r.workers {
+			e.publishWorker(i, w)
 		}
 		e.ob.Tr.Trace(obs.TraceEvent{Kind: obs.KindPhaseEnd, Seq: phaseSeq, Worker: -1,
 			A: e.st.Phases, B: e.st.EventsProcessed - p0})
 	}
 }
 
+// work runs the worker's loop as one goroutine of the phase.
+func (w *peWorker) work() {
+	defer w.run.wg.Done()
+	w.loop()
+}
+
+// wakeAll hands every worker a park token. It is called by whichever worker
+// releases the last outstanding token, so parked workers see quiescence.
+func (r *parallelRun) wakeAll() {
+	for _, c := range r.wakes {
+		select {
+		case c <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// addTokens applies a net token change (negative when records retire),
+// waking every worker when the count reaches zero.
+func (r *parallelRun) addTokens(delta int64) {
+	if r.outstanding.Add(delta) == 0 {
+		r.wakeAll()
+	}
+}
+
 // loop is the worker's scheduler: drain inbound cross-partition events,
 // process local rows, flush outbound staging, and exit at global quiescence.
 //
+// A worker with nothing to do yields for spinLimit iterations and then parks
+// on its wake channel until another worker hands it a token: a sender after
+// every successful mail send to it, and whoever brings the outstanding count
+// to zero. The token is buffered, so one sent between this worker's last
+// check and its park is not lost; a stale token only costs one more pass of
+// the checks. A worker with staged events it could not send never parks: no
+// one would wake it when the destination's channel drains.
+//
 //jetlint:hotpath
 func (w *peWorker) loop() {
+	idle := 0
 	for {
 		progress := w.drainInbox()
 		if !w.shard.Empty() {
 			w.drainRounds()
 			w.flushStaging()
+			idle = 0
 			continue
 		}
 		if w.flushStaging() || progress {
+			idle = 0
 			continue
 		}
 		if w.run.outstanding.Load() == 0 {
 			return
 		}
 		w.idleSpins++
-		runtime.Gosched()
+		if idle < spinLimit || w.staged() {
+			idle++
+			runtime.Gosched()
+			continue
+		}
+		w.parks++
+		<-w.wake
 	}
+}
+
+// staged reports whether any cross-partition events await sending.
+func (w *peWorker) staged() bool {
+	for _, evs := range w.staging {
+		if len(evs) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // drainRounds processes the shard until it is momentarily empty,
@@ -308,7 +436,7 @@ func (w *peWorker) drainRounds() {
 			// dip to zero while work remains) and before staged events are
 			// sent (staged records are counted, merely not yet visible).
 			if delta := w.newLive - int64(len(batch)); delta != 0 {
-				w.run.outstanding.Add(delta)
+				w.run.addTokens(delta)
 			}
 		})
 		if n > 0 {
@@ -348,26 +476,33 @@ func (w *peWorker) process(ev event.Event) {
 }
 
 // propagate sends x from u along every out-edge in the active view — the
-// parallel twin of Engine.PropagateValue.
+// parallel twin of Engine.PropagateValue. The per-edge body is the bound
+// method value w.edge, with the vertex's operands parked in the worker, so
+// the walk through the GraphView interface allocates no closure per vertex.
 func (w *peWorker) propagate(u graph.VertexID, x float64) {
 	r := w.run
 	deg := r.view.OutDegree(u)
 	if deg == 0 {
 		return
 	}
-	wsum := r.view.OutWeightSum(u)
-	r.view.OutEdges(u, func(dst graph.VertexID, wt graph.Weight) {
-		val := r.alg.Propagate(u, x, wt, deg, wsum)
-		if r.acc && math.Abs(val) <= r.eps {
-			return
-		}
-		w.emit(event.Event{Target: dst, Value: val, Source: u})
-	})
+	w.pu, w.px, w.pdeg, w.pwsum = u, x, deg, r.view.OutWeightSum(u)
+	r.view.OutEdges(u, w.edge)
 	w.st.EdgeReads += uint64(deg)
 }
 
+// propagateEdge is propagate's per-edge body (bound once as w.edge).
+func (w *peWorker) propagateEdge(dst graph.VertexID, wt graph.Weight) {
+	r := w.run
+	val := r.alg.Propagate(w.pu, w.px, wt, w.pdeg, w.pwsum)
+	if r.acc && math.Abs(val) <= r.eps {
+		return
+	}
+	w.emit(event.Event{Target: dst, Value: val, Source: w.pu})
+}
+
 // emit routes ev to its owner: the local shard directly, other workers via
-// the staged per-pair channels.
+// the staged per-pair channels. An empty staging slot first takes back a
+// buffer the destination has drained.
 func (w *peWorker) emit(ev event.Event) {
 	w.st.EventsGenerated++
 	r := w.run
@@ -380,15 +515,24 @@ func (w *peWorker) emit(ev event.Event) {
 		}
 		return
 	}
-	w.staging[d] = append(w.staging[d], ev)
+	buf := w.staging[d]
+	if buf == nil {
+		select {
+		case buf = <-w.free[d]:
+		default:
+		}
+	}
+	w.staging[d] = append(buf, ev)
 	w.newLive++
 	w.sent[d]++
 	w.forwarded++
 }
 
-// flushStaging attempts a non-blocking send of every staged batch. Full
-// channels keep their batch staged for the next attempt, which cannot
-// deadlock: every worker drains its inbox on every loop iteration.
+// flushStaging attempts a non-blocking send of every staged batch, waking
+// the destination after each successful send. Full channels keep their batch
+// staged for the next attempt, which cannot deadlock: every worker drains its
+// inbox on every loop iteration, and a worker holding staged events does not
+// park.
 func (w *peWorker) flushStaging() bool {
 	sent := false
 	for d, evs := range w.staging {
@@ -399,6 +543,10 @@ func (w *peWorker) flushStaging() bool {
 		case w.outbox[d] <- evs:
 			w.staging[d] = nil
 			sent = true
+			select {
+			case w.run.wakes[d] <- struct{}{}:
+			default:
+			}
 			if w.tr != nil {
 				w.trSeq++
 				w.tr.Trace(obs.TraceEvent{Kind: obs.KindWorkerMail, Seq: w.trSeq,
@@ -411,10 +559,11 @@ func (w *peWorker) flushStaging() bool {
 }
 
 // drainInbox receives every currently available inbound batch and inserts it
-// into the local shard, releasing the tokens of records that coalesced away.
+// into the local shard, releasing the tokens of records that coalesced away
+// and returning each drained buffer to its sender.
 func (w *peWorker) drainInbox() bool {
 	got := false
-	for _, ch := range w.inbox {
+	for src, ch := range w.inbox {
 		if ch == nil {
 			continue
 		}
@@ -430,7 +579,13 @@ func (w *peWorker) drainInbox() bool {
 					}
 				}
 				if merged > 0 {
-					w.run.outstanding.Add(-merged)
+					w.run.addTokens(-merged)
+				}
+				if cap(evs) <= freeMaxEvents {
+					select {
+					case w.ret[src] <- evs[:0]:
+					default:
+					}
 				}
 				continue
 			default:

@@ -122,7 +122,7 @@ func TestOccupancyInvariantUnderChurn(t *testing.T) {
 // variant of the same drain loop.
 func TestShardOccupancyClearsOnLastDrain(t *testing.T) {
 	owner := make([]int32, 300)
-	sq := NewSharded(2, owner, Config{RowSize: 100}, minCoalesce(), true)
+	sq := testSharded(2, owner, Config{RowSize: 100}, minCoalesce(), true)
 	sh := sq.Shard(0)
 	for _, v := range []uint32{0, 99, 100, 250} {
 		sh.Insert(event.New(v, float64(v)))

@@ -20,7 +20,7 @@ func TestLazyAllocation(t *testing.T) {
 	if got := q.Rows(); got != 64 {
 		t.Fatalf("Rows() = %d, want 64", got)
 	}
-	if evs := q.TakeAll(); len(evs) != 0 {
+	if evs := q.TakeAll(nil); len(evs) != 0 {
 		t.Fatalf("TakeAll on dormant queue returned %d events", len(evs))
 	}
 	if n := q.DrainRound(func([]event.Event) { t.Fatal("drain callback on dormant queue") }); n != 0 {

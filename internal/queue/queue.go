@@ -225,23 +225,25 @@ func (q *Coalescing) DrainRound(fn func(batch []event.Event)) int {
 	return emitted
 }
 
-// TakeAll removes and returns every pending event — slots in ascending
-// vertex order, then the overflow FIFO — without counting a drain round.
-// The parallel engine uses it to move a phase's seed events into the per-PE
-// shards before the workers start.
-func (q *Coalescing) TakeAll() []event.Event {
+// TakeAll removes every pending event — slots in ascending vertex order,
+// then the overflow FIFO — and appends it to dst, without counting a drain
+// round. The parallel engine uses it to move a phase's seed events into the
+// per-PE shards before the workers start; it passes a reused scratch buffer
+// so the move allocates nothing in steady state, and must finish reading
+// before the first shard insert, since the shards reuse this queue's slots
+// (see Sharded).
+func (q *Coalescing) TakeAll(dst []event.Event) []event.Event {
 	if q.occ == nil {
-		return nil
+		return dst
 	}
-	out := make([]event.Event, 0, q.Len())
 	for row := q.occ.nextRow(0); row >= 0; row = q.occ.nextRow(row + 1) {
 		q.occ.drainRow(row, func(slot int) {
-			out = append(out, q.slots[slot])
+			dst = append(dst, q.slots[slot])
 		})
 	}
-	out = append(out, q.overflow...)
-	q.overflow = nil
-	return out
+	dst = append(dst, q.overflow...)
+	q.overflow = q.overflow[:0]
+	return dst
 }
 
 // Drain runs DrainRound until the queue is empty, which is the engines'

@@ -66,8 +66,13 @@ type WorkerMetrics struct {
 	// shard through the mail channels (the NoC crossbar traffic).
 	EventsForwarded uint64
 	Rounds          uint64
-	IdleSpins       uint64
-	ShardHighWater  uint64
+	// IdleSpins counts scheduler loop iterations that found no work; Parks
+	// counts those that ended with the worker blocked until woken.
+	IdleSpins uint64
+	Parks     uint64
+	// ShardHighWater is the peak live-event count of the worker's shard over
+	// the System's lifetime.
+	ShardHighWater uint64
 }
 
 // ChannelMetrics is one DRAM channel's cumulative traffic (timing model
@@ -149,6 +154,7 @@ func (s *System) Metrics() MetricsSnapshot {
 				EventsForwarded: w.Forwarded,
 				Rounds:          w.Rounds,
 				IdleSpins:       w.IdleSpins,
+				Parks:           w.Parks,
 				ShardHighWater:  w.ShardHighWater,
 			})
 		}

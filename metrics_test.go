@@ -72,6 +72,43 @@ func TestMetricsConservation(t *testing.T) {
 	}
 }
 
+// TestWorkerParksBoundedBySpins pins the meaning of the idle series: a park
+// is an idle iteration that ended with the worker blocked until woken, so no
+// worker can park more often than it found no work. The parks series must be
+// exported for every worker.
+func TestWorkerParksBoundedBySpins(t *testing.T) {
+	for _, p := range []int{2, 8} {
+		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
+			sys := runStream(t, WithTiming(false), WithParallelism(p))
+			m := sys.Metrics()
+			if len(m.Workers) != p {
+				t.Fatalf("%d worker series, want %d", len(m.Workers), p)
+			}
+			for _, w := range m.Workers {
+				if w.Parks > w.IdleSpins {
+					t.Errorf("worker %d: %d parks > %d idle spins", w.Worker, w.Parks, w.IdleSpins)
+				}
+			}
+			srv := httptest.NewServer(sys.MetricsHandler())
+			defer srv.Close()
+			resp, err := srv.Client().Get(srv.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < p; i++ {
+				if want := fmt.Sprintf(`jetstream_worker_parks_total{worker="%d"}`, i); !strings.Contains(string(body), want) {
+					t.Errorf("scrape lacks %s", want)
+				}
+			}
+		})
+	}
+}
+
 // TestMetricsConservationWithTiming covers the sequential timed path (all
 // work attributed to worker 0) and checks the DRAM channel series appear.
 func TestMetricsConservationWithTiming(t *testing.T) {
