@@ -56,8 +56,10 @@ type Config struct {
 	// model off: with timing on the engine stays sequential, because the
 	// cycle model reconstructs the hardware's parallelism from the
 	// deterministic event trace. 1 reproduces the sequential engine bit for
-	// bit; for selective (monotonic) kernels every parallelism converges to
-	// the identical fixpoint, while accumulative kernels agree within the
+	// bit. At any parallelism the result is a function of the input and the
+	// worker count only — bitwise-identical run to run; selective
+	// (monotonic) kernels converge to the sequential engine's fixpoint bit
+	// for bit, while accumulative kernels agree with it within the
 	// epsilon-truncation bound (see core.Tolerance).
 	Parallelism int
 

@@ -126,8 +126,9 @@ type WorkerStats struct {
 	Generated uint64
 	Forwarded uint64
 	Rounds    uint64
-	// IdleSpins counts loop iterations that found no work; Parks counts the
-	// subset that ended with the worker blocking on its wake channel.
+	// IdleSpins counts the rounds in which the worker had nothing to process;
+	// Parks counts the subset that ended with the worker blocked at the round
+	// barrier, waiting for other workers.
 	IdleSpins uint64
 	Parks     uint64
 	// ShardHighWater is the peak live-event count of the worker's shard over

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -17,11 +16,19 @@ import (
 
 // This file is the parallel multi-PE execution path of the functional engine.
 // The paper's accelerator runs 8 event-processing PEs concurrently over a
-// partitioned vertex space (Table 1); here each PE is one worker goroutine
-// that owns a disjoint vertex set (the BFS-grown partition of
+// partitioned vertex space (Table 1); here each PE is one worker that owns a
+// disjoint vertex set (the BFS-grown partition of
 // internal/graph/partition.go), drains a private coalescing shard
 // (queue.Shard), and routes cross-partition propagations through per-pair
-// channels that mirror the internal/noc crossbar fabric.
+// mail buffers that mirror the internal/noc crossbar fabric.
+//
+// A phase is bulk-synchronous, with rounds that mirror Coalescing.DrainRound.
+// In round k every worker first merges the mail sent to it in round k-1, in
+// ascending source-worker order and then emission order, and then drains
+// exactly one Shard.DrainRound; a cross-partition emission is appended to
+// mail[k&1][src][dst]. At the round boundary the phase's goroutine waits for
+// all workers, and the phase ends when every shard and every buffer written
+// in the round is empty.
 //
 // Correctness rests on three properties:
 //
@@ -29,47 +36,37 @@ import (
 //     written only by its owning worker, so the shared state slice needs no
 //     locks. Handlers never read another vertex's state — contributions
 //     arrive in the event payload, exactly as in the hardware.
-//   - Reordering: Reduce is commutative and associative (paper §3.1), so any
-//     interleaving converges to the same fixpoint — identical bits for
-//     selective kernels, within the epsilon-truncation bound for
-//     accumulative ones.
-//   - Quiescence: termination uses a distributed outstanding-event count
-//     instead of the sequential empty-queue check. Every live event record
-//     (queue slot, overflow entry, staged or in-flight cross event) holds
-//     one token on a shared counter; tokens are acquired before the record
-//     becomes visible and released only after it is retired (processed, or
-//     merged into an already-counted slot). A worker observing zero may
-//     therefore exit: nothing is live anywhere and no live record can mint
-//     new work.
+//   - Parity: a mail buffer is written only by its source in rounds of one
+//     parity and read and emptied only by its destination in the next round,
+//     so the barrier between them is the only synchronization it needs.
+//   - Determinism: each worker's work in a round is a function of its shard
+//     and its inbound mail, both of which are fixed at the round's start, so
+//     every event is processed and every contribution merged in an order
+//     that depends on the input and the worker count, never on scheduling.
+//     Selective kernels reach the sequential engine's fixpoint bit for bit;
+//     accumulative ones give bitwise-identical results run to run at each
+//     parallelism, within the epsilon-truncation bound of the sequential
+//     result (core.Tolerance). As in the sequential drain, a vertex's
+//     contributions of one round coalesce before it is processed, so the
+//     generation-time epsilon cut drops no more mass than there.
 
-// chanCap bounds each per-pair channel. Sends are non-blocking (full
-// channels park events in the sender's staging buffer, retried next loop),
-// so the capacity only tunes batching, never correctness.
-const chanCap = 64
-
-// Reused event buffers are kept only up to a size. Drained mail buffers
-// return to their sender, at most freeCap per pair and each of at most
-// freeMaxEvents capacity: enough for the few small mail batches of a
-// streaming phase, while the large buffers of a from-scratch convergence go
-// back to the collector instead of staying pinned for the Engine's lifetime
-// (at p=8 there are 56 pairs). The seed buffer is likewise dropped after a
-// phase whose seeds outgrew seedMaxEvents.
+// Reused event buffers are kept only up to a size. A mail buffer that outgrew
+// mailKeepEvents is dropped once its destination has merged it, so the large
+// buffers of a from-scratch convergence go back to the collector instead of
+// staying pinned for the Engine's lifetime (at p=8 there are 2×56 of them).
+// The seed buffer is likewise dropped after a phase whose seeds outgrew
+// seedMaxEvents.
 const (
-	freeCap       = 2
-	freeMaxEvents = 1024
-	seedMaxEvents = 4096
+	mailKeepEvents = 1024
+	seedMaxEvents  = 4096
 )
-
-// spinLimit is how many consecutive work-less loop iterations a worker
-// yields the processor for before it parks on its wake channel.
-const spinLimit = 64
 
 // parallelRun is the parallel compute path's state. It lives as long as the
 // Engine: it is built on the first parallel phase (buildParallel) and dropped
 // only when the worker count or the ownership map changes (Repartition), so
 // a phase costs O(work), not O(V). Everything in it is empty at quiescence —
-// shards, mail channels and staging buffers — so reuse needs no clearing;
-// only the per-phase tallies are reset (begin).
+// shards and mail buffers — so reuse needs no clearing; only the per-phase
+// tallies are reset (begin).
 type parallelRun struct {
 	alg      algo.Algorithm
 	acc      bool
@@ -81,65 +78,68 @@ type parallelRun struct {
 	trackDep bool
 
 	workers []*peWorker
-	wakes   []chan struct{} // wakes[i] is worker i's 1-buffered park token
-	seedCo  []uint64        // per-shard seed coalesces of the current phase
-	wg      sync.WaitGroup
+	seedCo  []uint64 // per-shard seed coalesces of the current phase
 
-	// outstanding is the quiescence barrier: live event records not yet
-	// retired. Workers exit when they observe zero. Every worker hammers this
-	// counter once per row batch, so it gets a cache line to itself — without
-	// the fences its line also holds the read-mostly fields above, and every
-	// Add would invalidate the view/state headers in all other workers'
-	// caches.
-	_           pad.Line
-	outstanding atomic.Int64
-	_           pad.Line
+	// mail[k&1][src][dst] holds the cross-partition events src emitted to
+	// dst in round k, merged and emptied by dst in round k+1. nil at
+	// src == dst.
+	mail [2][][][]event.Event
+
+	// start[i] releases worker i ≥ 1 into round k (a value k ≥ 0) or out of
+	// the phase (-1). Worker 0 runs on the phase's goroutine.
+	start []chan int
+	// done carries the id of the last worker to arrive at a round's
+	// barrier, when that is not worker 0.
+	done chan int
+	// exited joins the worker goroutines at the end of a phase.
+	exited sync.WaitGroup
+
+	// arrivals counts the workers yet to arrive at the current round's
+	// barrier. Every worker decrements it once per round, so it gets a cache
+	// line to itself, away from the read-mostly fields above.
+	_        pad.Line
+	arrivals atomic.Int32
+	_        pad.Line
 }
 
 // peWorker is one simulated processing engine.
 //
-// The stats block and the per-batch tallies below the first pad line are
+// The stats block and the per-round tallies below the first pad line are
 // written by this worker on every processed event. Workers are allocated
 // back-to-back, so without the cache-line fences one worker's counter
 // increments would sit on the same line as a neighbor's and the per-event
 // stores would ping-pong ownership between cores — the classic false-sharing
 // tax on exactly the path BenchmarkParallelism measures.
 type peWorker struct {
-	id      int
-	run     *parallelRun
-	shard   *queue.Shard
-	staging [][]event.Event      // cross-partition events not yet sent, per destination
-	inbox   []chan []event.Event // mail[*][id], nil at index id
-	outbox  []chan []event.Event // mail[id][*], nil at index id
-	// Drained mail buffers travel back to their sender so staging reuses
-	// them: free[d] yields buffers this worker sent to d, ret[s] takes
-	// buffers received from s. Both nil at index id.
-	free []chan []event.Event
-	ret  []chan []event.Event
-	wake chan struct{} // park token, see loop
+	id    int
+	run   *parallelRun
+	shard *queue.Shard
 
-	_  pad.Line       // fence: per-event single-writer region below
-	st stats.Counters // merged into the engine's sink at phase end
+	// The per-row and per-edge bodies, bound once so that neither the shard
+	// drain nor the walk through the GraphView interface allocates a closure.
+	batch func([]event.Event)
+	edge  func(graph.VertexID, graph.Weight)
+
+	_   pad.Line        // fence: per-event single-writer region below
+	st  stats.Counters  // merged into the engine's sink at phase end
+	out [][]event.Event // this round's outbound mail, run.mail[k&1][id]
 
 	// The vertex propagate is walking, read by propagateEdge.
-	edge  func(graph.VertexID, graph.Weight)
 	pu    graph.VertexID
 	px    float64
 	pdeg  int
 	pwsum float64
-
-	// Per-batch token bookkeeping (see quiescence comment above).
-	newLive int64 // records that became live while processing the current batch
 
 	// Observability tallies, published into the engine's Obs at phase end.
 	// tr is nil when the engine is uninstrumented; it must be called only
 	// with concurrency-safe tracers (the Tracer contract).
 	tr        obs.Tracer
 	trSeq     uint64
-	sent      []uint64 // per-destination cross-partition events staged
-	forwarded uint64   // total cross-partition events staged
-	idleSpins uint64   // loop iterations that found no work
-	parks     uint64   // times the worker blocked on its wake channel
+	sent      []uint64 // per-destination cross-partition events mailed
+	forwarded uint64   // total cross-partition events mailed
+	idle      bool     // the current round is idle: nothing to process
+	idleSpins uint64   // idle rounds
+	parks     uint64   // idle rounds that ended blocked at the barrier
 
 	_ pad.Line // fence: nothing after the hot region shares its last line
 }
@@ -194,8 +194,8 @@ func (e *Engine) ownership(p int) []int32 {
 }
 
 // buildParallel (re)creates the persistent parallel state for p workers:
-// shards carved from the sequential queue's slots, the mail fabric with its
-// buffer-return channels, the wake channels and the workers.
+// shards carved from the sequential queue's slots, the two parities of mail
+// buffer headers, the round-release channels and the workers.
 func (e *Engine) buildParallel(p int) {
 	r := &parallelRun{
 		alg:     e.alg,
@@ -203,42 +203,28 @@ func (e *Engine) buildParallel(p int) {
 		eps:     e.alg.Epsilon(),
 		sq:      e.q.Sharded(p, e.ownership(p)),
 		workers: make([]*peWorker, p),
-		wakes:   make([]chan struct{}, p),
 		seedCo:  make([]uint64, p),
+		start:   make([]chan int, p),
+		done:    make(chan int, 1),
 	}
-	mail := make([][]chan []event.Event, p)
-	free := make([][]chan []event.Event, p) // free[i][j]: buffers i sent to j, back to i
-	for i := range mail {
-		mail[i] = make([]chan []event.Event, p)
-		free[i] = make([]chan []event.Event, p)
-		for j := range mail[i] {
-			if i != j {
-				mail[i][j] = make(chan []event.Event, chanCap)
-				free[i][j] = make(chan []event.Event, freeCap)
-			}
+	for par := range r.mail {
+		r.mail[par] = make([][][]event.Event, p)
+		for src := range r.mail[par] {
+			r.mail[par][src] = make([][]event.Event, p)
 		}
-		r.wakes[i] = make(chan struct{}, 1)
 	}
 	for i := range r.workers {
 		w := &peWorker{
-			id:      i,
-			run:     r,
-			shard:   r.sq.Shard(i),
-			staging: make([][]event.Event, p),
-			inbox:   make([]chan []event.Event, p),
-			outbox:  mail[i],
-			free:    free[i],
-			ret:     make([]chan []event.Event, p),
-			wake:    r.wakes[i],
-			sent:    make([]uint64, p),
+			id:    i,
+			run:   r,
+			shard: r.sq.Shard(i),
+			sent:  make([]uint64, p),
 		}
+		if i > 0 {
+			r.start[i] = make(chan int, 1)
+		}
+		w.batch = w.processBatch
 		w.edge = w.propagateEdge
-		for j := 0; j < p; j++ {
-			if j != i {
-				w.inbox[j] = mail[j][i]
-				w.ret[j] = free[j][i]
-			}
-		}
 		r.workers[i] = w
 	}
 	e.par = r
@@ -258,7 +244,6 @@ func (r *parallelRun) begin(e *Engine) {
 	}
 	for _, w := range r.workers {
 		w.st = stats.Counters{}
-		w.newLive = 0
 		w.tr, w.trSeq = tr, 0
 		clear(w.sent)
 		w.forwarded, w.idleSpins, w.parks = 0, 0, 0
@@ -268,7 +253,7 @@ func (r *parallelRun) begin(e *Engine) {
 // runComputeParallel is one parallel compute phase on the persistent state.
 // Seeds move through a reused buffer, so in steady state the phase's only
 // allocations, and its only cost that does not scale with its work, are the
-// p goroutine spawns.
+// p-1 goroutine spawns.
 //
 //jetlint:hotpath
 func (e *Engine) runComputeParallel(p int) {
@@ -297,18 +282,14 @@ func (e *Engine) runComputeParallel(p int) {
 	r := e.par
 	r.begin(e)
 
-	// Move the seeds into the shards. Workers have not started, so token
-	// ordering is not yet a concern. Seed coalesces are attributed to the
+	// Move the seeds into the shards. Seed coalesces are attributed to the
 	// destination shard's owner — that is where the merge happens in the
 	// hardware.
-	live := int64(0)
 	for _, ev := range e.seeds {
 		d := r.sq.Owner(ev.Target)
 		if r.sq.Shard(d).Insert(ev) {
 			e.st.EventsCoalesced++
 			r.seedCo[d]++
-		} else {
-			live++
 		}
 	}
 	if e.ob != nil {
@@ -319,16 +300,39 @@ func (e *Engine) runComputeParallel(p int) {
 			}
 		}
 	}
-	r.outstanding.Store(live)
 	if cap(e.seeds) > seedMaxEvents {
 		e.seeds = nil
 	}
 
-	r.wg.Add(p)
-	for _, w := range r.workers {
+	r.exited.Add(p - 1)
+	for _, w := range r.workers[1:] {
 		go w.work()
 	}
-	r.wg.Wait()
+	w0 := r.workers[0]
+	for k := 0; ; k++ {
+		r.arrivals.Store(int32(p))
+		for _, c := range r.start[1:] {
+			c <- k
+		}
+		w0.round(k)
+		last := 0
+		if !w0.arrive() {
+			last = <-r.done
+		}
+		// Every idle worker but the last to arrive waited for the others.
+		for _, w := range r.workers {
+			if w.idle && w.id != last {
+				w.parks++
+			}
+		}
+		if r.quiescent(k) {
+			break
+		}
+	}
+	for _, c := range r.start[1:] {
+		c <- -1
+	}
+	r.exited.Wait()
 
 	// Merge the per-worker counters into the engine's sink (the per-worker
 	// accumulation that keeps internal/stats correct without contended
@@ -346,104 +350,88 @@ func (e *Engine) runComputeParallel(p int) {
 	}
 }
 
-// work runs the worker's loop as one goroutine of the phase.
-func (w *peWorker) work() {
-	defer w.run.wg.Done()
-	w.loop()
+// quiescent reports, at the boundary after round k, whether the phase is
+// done: no shard holds an event and no worker mailed one in round k.
+func (r *parallelRun) quiescent(k int) bool {
+	if r.sq.Len() != 0 {
+		return false
+	}
+	for _, row := range r.mail[k&1] {
+		for _, buf := range row {
+			if len(buf) != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
-// wakeAll hands every worker a park token. It is called by whichever worker
-// releases the last outstanding token, so parked workers see quiescence.
-func (r *parallelRun) wakeAll() {
-	for _, c := range r.wakes {
-		select {
-		case c <- struct{}{}:
-		default:
+// work is the goroutine of worker i ≥ 1 for one phase: it runs each round it
+// is released into until the phase's goroutine sends -1.
+func (w *peWorker) work() {
+	defer w.run.exited.Done()
+	start := w.run.start[w.id]
+	for k := <-start; k >= 0; k = <-start {
+		w.round(k)
+		if w.arrive() {
+			w.run.done <- w.id
 		}
 	}
 }
 
-// addTokens applies a net token change (negative when records retire),
-// waking every worker when the count reaches zero.
-func (r *parallelRun) addTokens(delta int64) {
-	if r.outstanding.Add(delta) == 0 {
-		r.wakeAll()
-	}
+// arrive marks the worker's arrival at the round's barrier and reports
+// whether it was the last to arrive. The worker writes none of its state
+// after arriving: the phase's goroutine reads it at the boundary.
+func (w *peWorker) arrive() bool {
+	return w.run.arrivals.Add(-1) == 0
 }
 
-// loop is the worker's scheduler: drain inbound cross-partition events,
-// process local rows, flush outbound staging, and exit at global quiescence.
-//
-// A worker with nothing to do yields for spinLimit iterations and then parks
-// on its wake channel until another worker hands it a token: a sender after
-// every successful mail send to it, and whoever brings the outstanding count
-// to zero. The token is buffered, so one sent between this worker's last
-// check and its park is not lost; a stale token only costs one more pass of
-// the checks. A worker with staged events it could not send never parks: no
-// one would wake it when the destination's channel drains.
+// round is the worker's share of round k: merge the mail sent to it in round
+// k-1, in ascending source order and then emission order, emptying each
+// buffer; then drain one shard round, mailing cross-partition emissions into
+// run.mail[k&1][id].
 //
 //jetlint:hotpath
-func (w *peWorker) loop() {
-	idle := 0
-	for {
-		progress := w.drainInbox()
-		if !w.shard.Empty() {
-			w.drainRounds()
-			w.flushStaging()
-			idle = 0
+func (w *peWorker) round(k int) {
+	r := w.run
+	for _, row := range r.mail[(k+1)&1] {
+		buf := row[w.id]
+		if len(buf) == 0 {
 			continue
 		}
-		if w.flushStaging() || progress {
-			idle = 0
-			continue
+		for _, ev := range buf {
+			if w.shard.Insert(ev) {
+				w.st.EventsCoalesced++
+			}
 		}
-		if w.run.outstanding.Load() == 0 {
-			return
+		if cap(buf) > mailKeepEvents {
+			buf = nil
 		}
+		row[w.id] = buf[:0]
+	}
+	w.out = r.mail[k&1][w.id]
+	w.idle = w.shard.DrainRound(w.batch) == 0
+	if w.idle {
 		w.idleSpins++
-		if idle < spinLimit || w.staged() {
-			idle++
-			runtime.Gosched()
-			continue
+		return
+	}
+	w.st.Rounds++
+	if w.tr != nil {
+		for d, buf := range w.out {
+			if len(buf) > 0 {
+				w.trSeq++
+				w.tr.Trace(obs.TraceEvent{Kind: obs.KindWorkerMail, Seq: w.trSeq,
+					Worker: w.id, A: uint64(d), B: uint64(len(buf))})
+			}
 		}
-		w.parks++
-		<-w.wake
 	}
 }
 
-// staged reports whether any cross-partition events await sending.
-func (w *peWorker) staged() bool {
-	for _, evs := range w.staging {
-		if len(evs) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// drainRounds processes the shard until it is momentarily empty,
-// interleaving inbox drains so inbound events join the current cascade.
-func (w *peWorker) drainRounds() {
-	for !w.shard.Empty() {
-		n := w.shard.DrainRound(func(batch []event.Event) {
-			w.newLive = 0
-			for _, ev := range batch {
-				w.process(ev)
-			}
-			// One atomic per row batch: retire the batch's tokens and
-			// acquire tokens for every record it made live. The swap
-			// happens after the children exist (so the counter can never
-			// dip to zero while work remains) and before staged events are
-			// sent (staged records are counted, merely not yet visible).
-			if delta := w.newLive - int64(len(batch)); delta != 0 {
-				w.run.addTokens(delta)
-			}
-		})
-		if n > 0 {
-			w.st.Rounds++
-		}
-		w.flushStaging()
-		w.drainInbox()
+// processBatch applies one row batch of the shard drain (bound once as
+// w.batch).
+func (w *peWorker) processBatch(batch []event.Event) {
+	for _, ev := range batch {
+		w.process(ev)
 	}
 }
 
@@ -500,98 +488,19 @@ func (w *peWorker) propagateEdge(dst graph.VertexID, wt graph.Weight) {
 	w.emit(event.Event{Target: dst, Value: val, Source: w.pu})
 }
 
-// emit routes ev to its owner: the local shard directly, other workers via
-// the staged per-pair channels. An empty staging slot first takes back a
-// buffer the destination has drained.
+// emit routes ev to its owner: the local shard directly (a later row of this
+// round or the next round, as in the sequential drain), another worker
+// through this round's mail buffer to it.
 func (w *peWorker) emit(ev event.Event) {
 	w.st.EventsGenerated++
-	r := w.run
-	d := r.sq.Owner(ev.Target)
+	d := w.run.sq.Owner(ev.Target)
 	if d == w.id {
 		if w.shard.Insert(ev) {
 			w.st.EventsCoalesced++
-		} else {
-			w.newLive++
 		}
 		return
 	}
-	buf := w.staging[d]
-	if buf == nil {
-		select {
-		case buf = <-w.free[d]:
-		default:
-		}
-	}
-	w.staging[d] = append(buf, ev)
-	w.newLive++
+	w.out[d] = append(w.out[d], ev)
 	w.sent[d]++
 	w.forwarded++
-}
-
-// flushStaging attempts a non-blocking send of every staged batch, waking
-// the destination after each successful send. Full channels keep their batch
-// staged for the next attempt, which cannot deadlock: every worker drains its
-// inbox on every loop iteration, and a worker holding staged events does not
-// park.
-func (w *peWorker) flushStaging() bool {
-	sent := false
-	for d, evs := range w.staging {
-		if len(evs) == 0 {
-			continue
-		}
-		select {
-		case w.outbox[d] <- evs:
-			w.staging[d] = nil
-			sent = true
-			select {
-			case w.run.wakes[d] <- struct{}{}:
-			default:
-			}
-			if w.tr != nil {
-				w.trSeq++
-				w.tr.Trace(obs.TraceEvent{Kind: obs.KindWorkerMail, Seq: w.trSeq,
-					Worker: w.id, A: uint64(d), B: uint64(len(evs))})
-			}
-		default:
-		}
-	}
-	return sent
-}
-
-// drainInbox receives every currently available inbound batch and inserts it
-// into the local shard, releasing the tokens of records that coalesced away
-// and returning each drained buffer to its sender.
-func (w *peWorker) drainInbox() bool {
-	got := false
-	for src, ch := range w.inbox {
-		if ch == nil {
-			continue
-		}
-		for {
-			select {
-			case evs := <-ch:
-				got = true
-				merged := int64(0)
-				for _, ev := range evs {
-					if w.shard.Insert(ev) {
-						w.st.EventsCoalesced++
-						merged++
-					}
-				}
-				if merged > 0 {
-					w.run.addTokens(-merged)
-				}
-				if cap(evs) <= freeMaxEvents {
-					select {
-					case w.ret[src] <- evs[:0]:
-					default:
-					}
-				}
-				continue
-			default:
-			}
-			break
-		}
-	}
-	return got
 }

@@ -40,23 +40,20 @@ func spreadVertices(n, k int) []graph.VertexID {
 }
 
 // assertQuiescent checks that the persistent parallel state holds nothing
-// between phases: no shard event, staged mail, in-flight mail or token.
+// between phases: no shard event, no mail in either parity's buffers, and
+// nothing in the sequential queue.
 func assertQuiescent(t *testing.T, e *Engine) {
 	t.Helper()
 	r := e.par
 	if n := r.sq.Len(); n != 0 {
 		t.Fatalf("%d events left in the shards after the phase", n)
 	}
-	if n := r.outstanding.Load(); n != 0 {
-		t.Fatalf("outstanding = %d after the phase", n)
-	}
-	for _, w := range r.workers {
-		if w.staged() {
-			t.Fatalf("worker %d has staged mail after the phase", w.id)
-		}
-		for src, ch := range w.inbox {
-			if ch != nil && len(ch) != 0 {
-				t.Fatalf("worker %d has %d undelivered batches from %d", w.id, len(ch), src)
+	for par, rows := range r.mail {
+		for src, row := range rows {
+			for dst, buf := range row {
+				if len(buf) != 0 {
+					t.Fatalf("%d undelivered events from %d to %d in parity-%d mail", len(buf), src, dst, par)
+				}
 			}
 		}
 	}

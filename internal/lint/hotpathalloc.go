@@ -32,7 +32,7 @@ import (
 //
 // The seed annotations sit on the four per-batch/per-round drains:
 // (*graph.CSR).ApplyDelta, (*queue.Coalescing).DrainRound,
-// (*engine.peWorker).loop, and (*window.Ring).Expire.
+// (*engine.peWorker).round, and (*window.Ring).Expire.
 var Hotpathalloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc:  "//jetlint:hotpath functions must not allocate on non-error paths",

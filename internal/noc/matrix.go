@@ -3,7 +3,7 @@ package noc
 import "sync/atomic"
 
 // Matrix counts per-(source, destination) transfers across the crossbar. The
-// parallel engine's mail channels mirror the crossbar's ports, so each
+// parallel engine's per-pair mail buffers mirror the crossbar's ports, so each
 // cross-worker event delivery is one cell increment. Cells are atomics:
 // workers add concurrently without coordination, and an exporter may read the
 // matrix while a phase is running.

@@ -281,7 +281,8 @@ func WithInlineDegree(n int) Option {
 // default is the modeled PE count (8). p = 1 reproduces the sequential engine
 // bit for bit; higher parallelism converges to the identical fixpoint for the
 // monotonic kernels (SSSP/SSWP/BFS/CC) and agrees within the epsilon bound
-// for the accumulative ones (PageRank/Adsorption).
+// for the accumulative ones (PageRank/Adsorption). At every p the result is
+// bitwise-identical run to run.
 //
 // Parallel execution requires the timing model off and slicing off: the
 // timing model reconstructs hardware parallelism from the deterministic

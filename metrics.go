@@ -63,11 +63,12 @@ type WorkerMetrics struct {
 	EventsCoalesced uint64
 	EventsGenerated uint64
 	// EventsForwarded counts events this worker routed to another worker's
-	// shard through the mail channels (the NoC crossbar traffic).
+	// shard through the per-pair mail buffers (the NoC crossbar traffic).
 	EventsForwarded uint64
 	Rounds          uint64
-	// IdleSpins counts scheduler loop iterations that found no work; Parks
-	// counts those that ended with the worker blocked until woken.
+	// IdleSpins counts the rounds in which the worker had nothing to
+	// process; Parks counts those that ended with the worker blocked at the
+	// round barrier, waiting for other workers.
 	IdleSpins uint64
 	Parks     uint64
 	// ShardHighWater is the peak live-event count of the worker's shard over
